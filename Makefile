@@ -1,6 +1,8 @@
 GO ?= go
 
-.PHONY: build test race bench bench-quick serve-smoke ingest-smoke fleet-smoke fleet-fuzz pipegen pipegen-diff pipegen-fuzz
+.PHONY: build test race fuzz bench bench-quick serve-smoke ingest-smoke fleet-smoke pipegen pipegen-diff
+
+FUZZTIME ?= 10s
 
 build:
 	$(GO) build ./...
@@ -10,6 +12,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Run every fuzz target in the module for FUZZTIME each (CI runs this).
+# `go test -list` finds the targets, so a new Fuzz function joins without
+# an edit here.
+fuzz:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for target in $$(echo "$$targets" | grep '^Fuzz'); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test $$pkg -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime $(FUZZTIME); \
+		done; \
+	done
 
 # Full perf-trajectory run; refreshes BENCH_solver.json (commit the result).
 bench:
@@ -32,10 +46,6 @@ ingest-smoke:
 fleet-smoke:
 	./scripts/serve_smoke.sh fleet
 
-# Differential fuzz: cache-hit placements must be bit-identical to fresh solves.
-fleet-fuzz:
-	$(GO) test ./internal/fleet -run FuzzFleetCacheMatchesFresh -fuzz FuzzFleetCacheMatchesFresh -fuzztime 30s
-
 # Regenerate the committed specialized executors under internal/gen from
 # the specs + their solved mappings (commit the result).
 pipegen:
@@ -45,8 +55,3 @@ pipegen:
 # emits today (CI's golden gate; prints a per-file summary).
 pipegen-diff:
 	$(GO) run ./cmd/pipegen -all -check
-
-# Differential fuzz: generated executors must be bit-identical to the
-# generic fxrt stream on randomized seeds across all three apps.
-pipegen-fuzz:
-	$(GO) test ./internal/pipegen -run FuzzGeneratedMatchesGeneric -fuzz FuzzGeneratedMatchesGeneric -fuzztime 30s

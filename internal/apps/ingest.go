@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -14,6 +15,38 @@ import (
 // This file adapts the real applications to the ingestion data plane:
 // each codec decodes a submit request's input into the pipeline's source
 // data set and encodes the sink's output as a JSON-friendly result.
+
+// decodeFields parses a codec input through s as json.Unmarshal would into
+// the codec's request struct: empty input and null leave every field at its
+// default; otherwise the input is one object, and field reads the value of
+// each of its keys from s (skipping it with s.Skip when the key is
+// unknown). Keys match fields by bytes.EqualFold and the last duplicate
+// wins, as in encoding/json. field reaches s by capture rather than as an
+// argument, which keeps s off the heap.
+func decodeFields(s *ingest.Scanner, input []byte, field func(key []byte) error) error {
+	if len(input) == 0 {
+		return nil
+	}
+	*s = ingest.NewScanner(input)
+	if !s.Null() {
+		if err := s.Object(); err != nil {
+			return err
+		}
+		for {
+			key, ok, err := s.Key()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			if err := field(key); err != nil {
+				return err
+			}
+		}
+	}
+	return s.End()
+}
 
 // finite replaces NaN and infinities with 0 so results always marshal.
 func finite(v float64) float64 {
@@ -39,27 +72,80 @@ func (c FFTHistCodec) App() string { return "ffthist" }
 // data set; {"seed": k} varies it; {"data": [...]} supplies the matrix's
 // real parts row-major (length N*N).
 func (c FFTHistCodec) Decode(input json.RawMessage) (fxrt.DataSet, error) {
-	var req struct {
-		Seed int       `json:"seed"`
-		Data []float64 `json:"data"`
-	}
-	if len(input) > 0 {
-		if err := json.Unmarshal(input, &req); err != nil {
-			return nil, fmt.Errorf("ffthist input: %w", err)
-		}
-	}
 	n := c.Runner.N
-	if req.Data != nil {
-		if len(req.Data) != n*n {
-			return nil, fmt.Errorf("ffthist input: data length %d, want %d (N=%d)", len(req.Data), n*n, n)
+	seed := 0
+	data := matrixData{len: -1}
+	var s ingest.Scanner
+	err := decodeFields(&s, input, func(key []byte) error {
+		switch {
+		case bytes.EqualFold(key, []byte("seed")):
+			return s.Int(&seed)
+		case bytes.EqualFold(key, []byte("data")):
+			return data.read(&s, n)
 		}
-		mat := kernels.NewMatrix(n, n)
-		for i, v := range req.Data {
-			mat.Data[i] = complex(v, 0)
-		}
-		return mat, nil
+		return s.Skip()
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ffthist input: %w", err)
 	}
-	return c.Runner.Input(req.Seed), nil
+	if data.len >= 0 {
+		if data.len != n*n {
+			return nil, fmt.Errorf("ffthist input: data length %d, want %d (N=%d)", data.len, n*n, n)
+		}
+		return data.mat, nil
+	}
+	return c.Runner.Input(seed), nil
+}
+
+// matrixData decodes "data" arrays straight into an N×N matrix's real
+// parts with encoding/json's semantics for a []float64 field. A repeated
+// "data" key reuses the earlier array's storage, so a null element keeps
+// the value an earlier array left at its index; null or [] discards the
+// storage. Only indexes below N*N can reach an accepted result, so later
+// elements are validated and counted but not stored.
+type matrixData struct {
+	mat kernels.Matrix // allocated by the first array
+	len int            // length of the last array; -1 when absent or null
+}
+
+func (d *matrixData) read(s *ingest.Scanner, n int) error {
+	if s.Null() {
+		clear(d.mat.Data)
+		d.len = -1
+		return nil
+	}
+	if err := s.Array(); err != nil {
+		return err
+	}
+	if d.mat.Data == nil {
+		d.mat = kernels.NewMatrix(n, n)
+	}
+	m := d.mat.Data
+	i := 0
+	for ; ; i++ {
+		ok, err := s.Elem()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		var v float64
+		if i < len(m) {
+			v = real(m[i])
+		}
+		if err := s.Float64(&v); err != nil {
+			return err
+		}
+		if i < len(m) {
+			m[i] = complex(v, 0)
+		}
+	}
+	if i == 0 {
+		clear(m)
+	}
+	d.len = i
+	return nil
 }
 
 // Encode implements ingest.Codec: the final histogram's summary moments.
@@ -92,23 +178,31 @@ func (c RadarCodec) App() string { return "radar" }
 // Decode implements ingest.Codec. Input fields (all optional): "seed"
 // varies the clutter, "target_gate"/"target_doppler" place the echo.
 func (c RadarCodec) Decode(input json.RawMessage) (fxrt.DataSet, error) {
-	var req struct {
-		Seed          int `json:"seed"`
-		TargetGate    int `json:"target_gate"`
-		TargetDoppler int `json:"target_doppler"`
-	}
-	if len(input) > 0 {
-		if err := json.Unmarshal(input, &req); err != nil {
-			return nil, fmt.Errorf("radar input: %w", err)
+	var (
+		s                   ingest.Scanner
+		seed, gate, doppler int
+	)
+	err := decodeFields(&s, input, func(key []byte) error {
+		switch {
+		case bytes.EqualFold(key, []byte("seed")):
+			return s.Int(&seed)
+		case bytes.EqualFold(key, []byte("target_gate")):
+			return s.Int(&gate)
+		case bytes.EqualFold(key, []byte("target_doppler")):
+			return s.Int(&doppler)
 		}
+		return s.Skip()
+	})
+	if err != nil {
+		return nil, fmt.Errorf("radar input: %w", err)
 	}
 	pulses, gates := c.Runner.dims()
 	tg, td := c.Runner.target()
-	if req.TargetGate != 0 {
-		tg = req.TargetGate
+	if gate != 0 {
+		tg = gate
 	}
-	if req.TargetDoppler != 0 {
-		td = req.TargetDoppler
+	if doppler != 0 {
+		td = doppler
 	}
 	if tg < 0 || tg >= gates {
 		return nil, fmt.Errorf("radar input: target_gate %d outside [0, %d)", tg, gates)
@@ -116,7 +210,7 @@ func (c RadarCodec) Decode(input json.RawMessage) (fxrt.DataSet, error) {
 	if td < 0 || td >= pulses {
 		return nil, fmt.Errorf("radar input: target_doppler %d outside [0, %d)", td, pulses)
 	}
-	return c.Runner.inputAt(req.Seed, tg, td), nil
+	return c.Runner.inputAt(seed, tg, td), nil
 }
 
 // Encode implements ingest.Codec: the detection count and the strongest
@@ -159,15 +253,18 @@ func (c StereoCodec) App() string { return "stereo" }
 
 // Decode implements ingest.Codec. Input: optional {"seed": k}.
 func (c StereoCodec) Decode(input json.RawMessage) (fxrt.DataSet, error) {
-	var req struct {
-		Seed int `json:"seed"`
-	}
-	if len(input) > 0 {
-		if err := json.Unmarshal(input, &req); err != nil {
-			return nil, fmt.Errorf("stereo input: %w", err)
+	var s ingest.Scanner
+	seed := 0
+	err := decodeFields(&s, input, func(key []byte) error {
+		if bytes.EqualFold(key, []byte("seed")) {
+			return s.Int(&seed)
 		}
+		return s.Skip()
+	})
+	if err != nil {
+		return nil, fmt.Errorf("stereo input: %w", err)
 	}
-	return c.Runner.input(req.Seed), nil
+	return c.Runner.input(seed), nil
 }
 
 // Encode implements ingest.Codec: depth map dimensions, mean recovered

@@ -1,10 +1,14 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"pipemap/internal/fxrt"
@@ -19,7 +23,9 @@ type Codec interface {
 	// App names the application ("ffthist", "radar", "stereo").
 	App() string
 	// Decode parses the request's "input" field (which may be empty: codecs
-	// should synthesize a default data set) into a source data set.
+	// should synthesize a default data set) into a source data set. input
+	// aliases a pooled request buffer that is valid only until Decode
+	// returns: a codec must copy anything it keeps.
 	Decode(input json.RawMessage) (fxrt.DataSet, error)
 	// Encode renders the pipeline's final data set as a JSON-marshalable
 	// result.
@@ -65,6 +71,69 @@ type ErrorBody struct {
 // maxSubmitBody bounds request bodies so a single oversized submission
 // cannot balloon memory.
 const maxSubmitBody = 8 << 20
+
+// maxPooledBody is the largest body buffer returned to bodyPool, so one
+// large submission does not pin its memory in the pool.
+const maxPooledBody = 1 << 20
+
+// bodyPool recycles request body buffers across submissions.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads r's whole body, bounded by maxSubmitBody, into a pooled
+// buffer; the caller hands it back with putBody.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	if n := r.ContentLength; n > 0 && n <= maxPooledBody {
+		// One read past the body is needed to see EOF.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	return buf, err
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() > maxPooledBody {
+		return
+	}
+	buf.Reset()
+	bodyPool.Put(buf)
+}
+
+// decodeSubmit parses a submit body. It accepts exactly what
+// json.NewDecoder(bytes.NewReader(b)).Decode(&req) accepts and yields the
+// same request, including io.EOF for a body of only whitespace and
+// ignoring bytes after the first complete value; req.Input aliases b.
+func decodeSubmit(b []byte) (req SubmitRequest, err error) {
+	s := NewScanner(b)
+	if !s.More() {
+		return req, io.EOF
+	}
+	if s.Null() {
+		return req, nil
+	}
+	if err := s.Object(); err != nil {
+		return req, err
+	}
+	for {
+		key, ok, err := s.Key()
+		if err != nil || !ok {
+			return req, err
+		}
+		switch {
+		case bytes.EqualFold(key, []byte("tenant")):
+			err = s.Text(&req.Tenant)
+		case bytes.EqualFold(key, []byte("budget_ms")):
+			err = s.Int(&req.BudgetMS)
+		case bytes.EqualFold(key, []byte("input")):
+			req.Input, err = s.Value()
+		default:
+			err = s.Skip()
+		}
+		if err != nil {
+			return req, err
+		}
+	}
+}
 
 // writeShed renders a *ShedError as its HTTP refusal.
 func writeShed(w http.ResponseWriter, se *ShedError, traceID string) {
@@ -115,8 +184,9 @@ func parseTraceHeaders(r *http.Request) (parent obs.TraceID, force bool) {
 }
 
 // SubmitHandler serves POST /v1/submit: decode via the codec, submit to
-// the plane, and render the outcome — 200 with the encoded result, 429/503
-// with a structured shed body, or 500 for pipeline processing failures.
+// the plane, and render the outcome — 200 with the encoded result, 400 for
+// a malformed body or input, 413 for a body over 8 MiB, 429/503 with a
+// structured shed body, or 500 for pipeline processing failures.
 // The request context cancels the wait (not the work) when the client
 // disconnects.
 //
@@ -130,9 +200,21 @@ func SubmitHandler(p *Plane, codec Codec) http.Handler {
 			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only", "")
 			return
 		}
-		var req SubmitRequest
-		r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBody)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err.Error() != "EOF" {
+		buf, err := readBody(w, r)
+		if err != nil {
+			putBody(buf)
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+					fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit), "")
+				return
+			}
+			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("read body: %v", err), "")
+			return
+		}
+		req, err := decodeSubmit(buf.Bytes())
+		if err != nil && !errors.Is(err, io.EOF) {
+			putBody(buf)
 			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decode body: %v", err), "")
 			return
 		}
@@ -156,6 +238,7 @@ func SubmitHandler(p *Plane, codec Codec) http.Handler {
 			p.Tracer().Finish(rt, outcome, sojourn, service)
 		}
 		ds, err := codec.Decode(req.Input)
+		putBody(buf)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad_input", err.Error(), idStr)
 			finish("bad_input", 0, 0)
