@@ -36,9 +36,8 @@ const (
 // Pipeline builds the fxrt pipeline realizing the mapping, along with the
 // inter-module edge transfers. The mapping must cover the 3-task FFT-Hist
 // chain (colffts, rowffts, hist). When the colffts/rowffts boundary
-// crosses modules, the transpose runs as a true edge transfer — the
-// sending instance blocks while the receiving instance redistributes, the
-// paper's rendezvous communication model.
+// crosses modules, the transpose runs as a true edge transfer, executed
+// by the receiving instance as it redistributes the data set.
 func (r FFTHistRunner) Pipeline(m model.Mapping) (*fxrt.Pipeline, []fxrt.Edge, error) {
 	if r.N < 2 || r.N&(r.N-1) != 0 {
 		return nil, nil, fmt.Errorf("apps: FFT-Hist size %d must be a power of two", r.N)

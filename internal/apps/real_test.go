@@ -116,6 +116,28 @@ func TestStereoRunnerEndToEndAndDepth(t *testing.T) {
 	}
 }
 
+// TestStereoRunnerReplicatedFinalStage is the regression test for a data
+// race: with the final module replicated, every replica stored the
+// runner's last output without synchronisation (go test -race reported
+// it).
+func TestStereoRunnerReplicatedFinalStage(t *testing.T) {
+	r := StereoRunner{W: 32, H: 16, Disparities: 4, DataSets: 8, TrueDisparity: 2}
+	m := model.Mapping{Chain: StereoStructure(), Modules: []model.Module{
+		{Lo: 0, Hi: 3, Procs: 1, Replicas: 1},
+		{Lo: 3, Hi: 4, Procs: 1, Replicas: 3},
+	}}
+	stats, last, err := r.Run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.DataSets != 8 {
+		t.Errorf("processed %d data sets, want 8", stats.DataSets)
+	}
+	if last == nil || len(last.Depth.Pix) == 0 {
+		t.Fatal("no final depth map captured")
+	}
+}
+
 func TestStereoRunnerProfileShape(t *testing.T) {
 	r := StereoRunner{W: 32, H: 16, Disparities: 4, DataSets: 3}
 	c := StereoStructure()

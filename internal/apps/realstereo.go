@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"pipemap/internal/estimate"
 	"pipemap/internal/fxrt"
@@ -177,8 +178,8 @@ func Clamp01(v float64) float64 {
 }
 
 // Run executes the mapping on the runtime and returns measured
-// statistics. The last data set's depth map accuracy can be verified with
-// VerifyDepth.
+// statistics, along with the output of the last data set to complete,
+// whose depth map accuracy can be verified with VerifyDepth.
 func (r StereoRunner) Run(m model.Mapping) (fxrt.Stats, *StereoData, error) {
 	p, err := r.Pipeline(m)
 	if err != nil {
@@ -188,21 +189,22 @@ func (r StereoRunner) Run(m model.Mapping) (fxrt.Stats, *StereoData, error) {
 	if n <= 0 {
 		n = 12
 	}
-	var last *StereoData
-	// Wrap the final stage to capture the last output.
+	// Wrap the final stage to capture the last output. Every replica of
+	// the final module stores into it, so the store is atomic.
+	var last atomic.Pointer[StereoData]
 	lastStage := &p.Stages[len(p.Stages)-1]
 	innerRun := lastStage.Run
 	lastStage.Run = func(ctx *fxrt.StageCtx, in fxrt.DataSet) (fxrt.DataSet, error) {
 		out, err := innerRun(ctx, in)
 		if sd, ok := out.(*StereoData); ok {
-			last = sd
+			last.Store(sd)
 		}
 		return out, err
 	}
 	stats, err := p.Run(func(i int) fxrt.DataSet {
 		return r.input(i)
 	}, n, 0)
-	return stats, last, err
+	return stats, last.Load(), err
 }
 
 // input synthesizes the i-th image pair: a deterministic textured

@@ -74,7 +74,7 @@ type SpecPerf struct {
 	// the two solvers' mappings (data sets/s, model units).
 	DPThroughput     float64 `json:"dpThroughput"`
 	GreedyThroughput float64 `json:"greedyThroughput"`
-	// FxrtThroughput is the throughput the fault-tolerant executor achieved
+	// FxrtThroughput is the throughput the fxrt engine achieved
 	// emulating the DP mapping, rescaled to model units; FxrtEfficiency is
 	// its fraction of the model bound.
 	FxrtThroughput float64 `json:"fxrtThroughput"`
@@ -183,8 +183,8 @@ func perfSpec(path string, opt PerfOptions) (SpecPerf, error) {
 	}
 	sp.IncrementalSolveSeconds = incTime
 
-	// Runtime throughput: emulate the DP mapping on the fault-tolerant
-	// executor (the same path `pipemap -serve` exercises) and rescale the
+	// Runtime throughput: emulate the DP mapping on the fxrt engine with
+	// retries on (the same path `pipemap -serve` exercises) and rescale the
 	// observed rate back to model units.
 	p, err := fxrt.ModelPipeline(dpRes.Mapping, opt.Speedup)
 	if err != nil {

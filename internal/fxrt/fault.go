@@ -110,9 +110,10 @@ func (rp RetryPolicy) BackoffFor(retry int) time.Duration {
 	return d
 }
 
-// faultTolerant reports whether any fault-tolerance option is set, which
-// routes Run/RunWithEdges through the fault-tolerant executor instead of
-// the strict rendezvous executor.
+// faultTolerant reports whether any fault-tolerance option is set. It
+// selects what a failed data set does to a batch Run/RunWithEdges: with no
+// option set the first failure aborts the run with its error; with any
+// set, failures are retried, dropped and counted, and the batch completes.
 func (p *Pipeline) faultTolerant() bool {
 	if p.Retry.MaxRetries > 0 || p.StageDeadline > 0 || p.DeadAfter > 0 || len(p.Faults) > 0 {
 		return true

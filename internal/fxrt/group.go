@@ -1,9 +1,10 @@
 // Package fxrt is a small goroutine-based task and data parallel runtime
 // in the spirit of the paper's Fx compiler target: a pipeline of data
 // parallel tasks runs on disjoint groups of workers ("processors"), with
-// module replication processing alternate data sets round-robin and
-// blocking rendezvous handoff between pipeline stages (the paper's model
-// in which sender and receiver are both occupied by a transfer).
+// module replication sharing each stage's stream of data sets, and
+// inter-module transfers executed by the receiving instance. One engine,
+// Stream, runs every execution; the paper's blocking rendezvous between
+// sender and receiver is modelled exactly by the simulator (package sim).
 //
 // The runtime executes real kernels (package kernels) and measures real
 // wall-clock behaviour, so it can profile an application for the model

@@ -149,16 +149,23 @@ func (r *Recorder) Summary() map[string]OpStat {
 
 // Pipeline is a chain of stages executing a stream of data sets.
 //
-// The zero-value configuration runs the strict rendezvous executor that
-// models the paper's execution semantics exactly and aborts on the first
-// stage error. Setting any of the fault-tolerance fields (Retry,
-// StageDeadline, DeadAfter, Faults, or a per-stage Deadline) routes
-// Run/RunWithEdges through the fault-tolerant executor instead: failed
-// attempts are retried with capped exponential backoff, hung attempts are
-// cut off by deadlines, data sets that exhaust their attempts are dropped
-// and counted (never aborting the stream), and repeatedly failing
-// instances are declared dead and removed from the round-robin while the
+// Every execution runs on one engine, Stream: the instances of a stage pull
+// data sets from a shared inbox, so the round-robin over replicas is
+// dynamic and an instance that dies simply stops pulling. Run and
+// RunWithEdges drive a Stream over a fixed batch. The fault-tolerance
+// fields (Retry, StageDeadline, DeadAfter, Faults, or a per-stage Deadline)
+// select what a failed data set does to a batch. With none set, the first
+// failure stops the feed and the run returns its error. With any set,
+// failed attempts are retried with capped exponential backoff, hung
+// attempts are cut off by deadlines, data sets that exhaust their attempts
+// are dropped and counted (never aborting the stream), and repeatedly
+// failing instances are declared dead and removed from rotation while the
 // surviving replicas keep serving at reduced throughput.
+//
+// Inboxes are buffered: a sender waits only for room in the next inbox,
+// never for its receiver to take the data set. The paper's blocking
+// rendezvous transfer is modelled exactly by the simulator (package sim),
+// not by this runtime.
 type Pipeline struct {
 	Stages []Stage
 	// Retry is the per-data-set retry policy applied at every stage.
@@ -173,39 +180,69 @@ type Pipeline struct {
 	DeadAfter int
 	// Faults injects deterministic failures for testing (see Fault).
 	Faults []Fault
-	// Obs receives one trace span per data set × stage × attempt in
-	// fault-tolerant runs, plus instant events for instance deaths and
-	// dropped data sets; nil disables tracing with no overhead.
+	// Obs receives one trace span per data set × stage × attempt, plus
+	// instant events for instance deaths and dropped data sets, with one
+	// named row per stage instance; nil disables tracing with no overhead.
 	Obs *obs.Tracer
 	// Monitor receives live per-attempt observations (completions with
-	// latency, retries, timeouts, drops, instance deaths) in
-	// fault-tolerant runs, feeding the health model served by obs/live.
-	// nil disables live monitoring with no overhead. The strict rendezvous
-	// executor does not report to it; attach fault-tolerance options (even
-	// just a RetryPolicy) to serve live traffic.
+	// latency, retries, timeouts, drops, instance deaths) from every
+	// execution, batch or streaming, feeding the health model served by
+	// obs/live. nil disables live monitoring with no overhead.
 	Monitor *live.Monitor
 }
 
-// envelope carries a data set with its stream index.
-type envelope struct {
-	idx int
-	ds  DataSet
-	t0  time.Time
+// validate checks the pipeline's stages and, when withEdges is set, that
+// edges has one entry per stage boundary. An empty pipeline reports "no
+// stages" before any edge count mismatch.
+func (p *Pipeline) validate(edges []Edge, withEdges bool) error {
+	l := len(p.Stages)
+	if l == 0 {
+		return fmt.Errorf("fxrt: pipeline has no stages")
+	}
+	if withEdges && len(edges) != l-1 {
+		return fmt.Errorf("fxrt: %d edges for %d stages (want %d)", len(edges), l, l-1)
+	}
+	for i, s := range p.Stages {
+		if s.Workers < 1 || s.Replicas < 1 {
+			return fmt.Errorf("fxrt: stage %d (%s) has workers=%d replicas=%d",
+				i, s.Name, s.Workers, s.Replicas)
+		}
+		if s.Run == nil {
+			return fmt.Errorf("fxrt: stage %d (%s) has no Run", i, s.Name)
+		}
+	}
+	return nil
 }
 
-// validate checks the pipeline structure and run parameters shared by Run
-// and RunWithEdges, returning the effective warmup count. edges is only
-// inspected when withEdges is set.
-func (p *Pipeline) validate(n, warmup int, edges []Edge, withEdges bool) (int, error) {
-	if len(p.Stages) == 0 {
-		return 0, fmt.Errorf("fxrt: pipeline has no stages")
-	}
-	if withEdges && len(edges) != len(p.Stages)-1 {
-		return 0, fmt.Errorf("fxrt: %d edges for %d stages (want %d)",
-			len(edges), len(p.Stages), len(p.Stages)-1)
+// Run streams n data sets produced by source through the pipeline and
+// returns execution statistics. warmup data sets are excluded from the
+// throughput window (pass 0 for n/5).
+func (p *Pipeline) Run(source func(i int) DataSet, n, warmup int) (Stats, error) {
+	return p.run(source, n, warmup, nil, false)
+}
+
+// RunWithEdges streams n data sets through the pipeline with explicit
+// edge transfers; edges must have len(p.Stages)-1 entries (individual
+// entries may have a nil Transfer). Each transfer runs on the receiving
+// instance as part of the stage attempt, is retried with it, and has its
+// duration recorded under the edge's Name.
+func (p *Pipeline) RunWithEdges(source func(i int) DataSet, n, warmup int, edges []Edge) (Stats, error) {
+	return p.run(source, n, warmup, edges, true)
+}
+
+// run is the batch driver behind Run and RunWithEdges. It opens a Stream
+// whose inboxes hold the whole batch plus every possible death requeue, so
+// no push blocks and no requeue drops. One goroutine pushes source(0..n-1)
+// in index order, so stream indices (and with them Fault.DataSet) match
+// source indices. Results arrive in completion order, which delimits the
+// warmup window: retries and requeues reorder the stream, so stream index
+// cannot.
+func (p *Pipeline) run(source func(i int) DataSet, n, warmup int, edges []Edge, withEdges bool) (Stats, error) {
+	if err := p.validate(edges, withEdges); err != nil {
+		return Stats{}, err
 	}
 	if n <= 0 {
-		return 0, fmt.Errorf("fxrt: need at least one data set")
+		return Stats{}, fmt.Errorf("fxrt: need at least one data set")
 	}
 	if warmup <= 0 {
 		warmup = n / 5
@@ -213,148 +250,60 @@ func (p *Pipeline) validate(n, warmup int, edges []Edge, withEdges bool) (int, e
 	if warmup >= n {
 		warmup = n - 1
 	}
-	for i, s := range p.Stages {
-		if s.Workers < 1 || s.Replicas < 1 {
-			return 0, fmt.Errorf("fxrt: stage %d (%s) has workers=%d replicas=%d",
-				i, s.Name, s.Workers, s.Replicas)
-		}
-		if s.Run == nil {
-			return 0, fmt.Errorf("fxrt: stage %d (%s) has no Run", i, s.Name)
-		}
+	inbox := n + 1
+	for _, st := range p.Stages {
+		inbox += st.Replicas
 	}
-	return warmup, nil
-}
-
-// Run streams n data sets produced by source through the pipeline and
-// returns execution statistics. warmup data sets are excluded from the
-// throughput window (pass 0 for n/5).
-func (p *Pipeline) Run(source func(i int) DataSet, n, warmup int) (Stats, error) {
-	warmup, err := p.validate(n, warmup, nil, false)
+	s, err := p.Stream(StreamOptions{Inbox: inbox, Edges: edges})
 	if err != nil {
 		return Stats{}, err
 	}
-	if p.faultTolerant() {
-		return p.runFT(source, n, warmup, nil)
-	}
 
-	rec := NewRecorder()
-	l := len(p.Stages)
-	// Rendezvous channels: ch[i][a][b] carries data sets from instance a
-	// of stage i-1 to instance b of stage i. ch[0][0][b] is the source
-	// feed. Unbuffered channels model the blocking transfer of the
-	// execution model.
-	ch := make([][][]chan envelope, l+1)
-	srcReps := 1
-	for i := 0; i <= l; i++ {
-		var from, to int
-		switch i {
-		case 0:
-			from, to = srcReps, p.Stages[0].Replicas
-		case l:
-			from, to = p.Stages[l-1].Replicas, 1
-		default:
-			from, to = p.Stages[i-1].Replicas, p.Stages[i].Replicas
-		}
-		ch[i] = make([][]chan envelope, from)
-		for a := 0; a < from; a++ {
-			ch[i][a] = make([]chan envelope, to)
-			for b := 0; b < to; b++ {
-				ch[i][a][b] = make(chan envelope)
-			}
-		}
-	}
-
-	var (
-		errOnce sync.Once
-		runErr  error
-		failed  atomic.Bool
-	)
-	setErr := func(err error) {
-		if err != nil {
-			failed.Store(true)
-			errOnce.Do(func() { runErr = err })
-		}
-	}
-
-	var wg sync.WaitGroup
-	// Stage instances.
-	for i := 0; i < l; i++ {
-		st := p.Stages[i]
-		for b := 0; b < st.Replicas; b++ {
-			wg.Add(1)
-			go func(i, b int, st Stage) {
-				defer wg.Done()
-				g, err := NewGroup(st.Workers)
-				if err != nil {
-					setErr(err)
-					// Must still drain the schedule to unblock peers.
-					g = nil
-				}
-				if g != nil {
-					defer g.Close()
-				}
-				ctx := &StageCtx{Group: g, Instance: b, Rec: rec}
-				prevReps := srcReps
-				if i > 0 {
-					prevReps = p.Stages[i-1].Replicas
-				}
-				nextReps := 1
-				if i < l-1 {
-					nextReps = p.Stages[i+1].Replicas
-				}
-				for idx := b; idx < n; idx += st.Replicas {
-					env := <-ch[i][idx%prevReps][b]
-					if g != nil && !failed.Load() {
-						out, err := st.Run(ctx, env.ds)
-						if err != nil {
-							setErr(fmt.Errorf("fxrt: stage %s instance %d data set %d: %w",
-								st.Name, b, idx, err))
-						} else {
-							env.ds = out
-						}
-					}
-					ch[i+1][b][idx%nextReps] <- env
-				}
-			}(i, b, st)
-		}
-	}
-
-	// Source.
+	results := make(chan StreamResult, n)
+	var stop atomic.Bool
+	fed := make(chan struct{})
 	start := time.Now()
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		r0 := p.Stages[0].Replicas
-		for idx := 0; idx < n; idx++ {
-			ch[0][0][idx%r0] <- envelope{idx: idx, ds: source(idx), t0: time.Now()}
+		defer close(fed)
+		for i := 0; i < n && !stop.Load(); i++ {
+			// Cannot fail: the stream is open until the feed ends.
+			_ = s.push(nil, source(i), nil, results)
 		}
 	}()
 
-	// Sink: consume outputs in stream order from the last stage.
-	lastReps := p.Stages[l-1].Replicas
-	outTimes := make([]time.Time, n)
+	abort := !p.faultTolerant()
 	var latSum time.Duration
-	for idx := 0; idx < n; idx++ {
-		env := <-ch[l][idx%lastReps][0]
-		now := time.Now()
-		outTimes[env.idx] = now
-		latSum += now.Sub(env.t0)
+	var windowStart, windowEnd time.Time
+	completed := 0
+	for got := 0; got < n; got++ {
+		r := <-results
+		if r.Err != nil {
+			if abort {
+				stop.Store(true)
+				<-fed
+				s.Close()
+				return Stats{}, fmt.Errorf("fxrt: run aborted: %w", r.Err)
+			}
+			continue
+		}
+		windowEnd = time.Now()
+		latSum += r.Latency
+		completed++
+		if completed == warmup+1 {
+			windowStart = windowEnd
+		}
 	}
-	wg.Wait()
-	if runErr != nil {
-		return Stats{}, runErr
+	<-fed
+	stats := s.Close()
+	// The stream's own Elapsed and Throughput span its whole life; a batch
+	// reports from its first push to its last completion.
+	stats.Elapsed, stats.Throughput = 0, 0
+	if completed > 0 {
+		stats.Elapsed = windowEnd.Sub(start)
+		stats.Latency = latSum / time.Duration(completed)
 	}
-
-	stats := Stats{
-		DataSets: n,
-		Elapsed:  outTimes[n-1].Sub(start),
-		Latency:  latSum / time.Duration(n),
-		Ops:      rec.Means(),
-		OpStats:  rec.Summary(),
-	}
-	window := outTimes[n-1].Sub(outTimes[warmup])
-	if window > 0 {
-		stats.Throughput = float64(n-1-warmup) / window.Seconds()
+	if window := windowEnd.Sub(windowStart); completed > warmup+1 && window > 0 {
+		stats.Throughput = float64(completed-warmup-1) / window.Seconds()
 	}
 	return stats, nil
 }

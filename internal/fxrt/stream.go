@@ -46,25 +46,25 @@ type sEnvelope struct {
 	attempts int
 	dropped  bool
 	err      error
-	res      chan StreamResult
+	res      chan<- StreamResult
 	// rt is the request trace accompanying a traced push (nil for the
 	// untraced fast path); every stage attempt records a span on it.
 	rt *obs.ReqTrace
 }
 
-// Stream is a long-running execution of a pipeline: data sets are pushed
-// one at a time and each push returns a channel that delivers that data
-// set's result. Unlike Run, which streams a fixed batch and reports
-// aggregate Stats, a Stream serves an ingestion data plane: inboxes are
-// bounded (a full pipeline pushes back rather than buffering), every data
-// set's outcome is delivered to its submitter, and Close drains in-flight
-// work to zero before tearing the instances down.
+// Stream is a long-running execution of a pipeline, and the runtime's
+// only execution engine: data sets are pushed one at a time and each push
+// returns a channel that delivers that data set's result. Run and
+// RunWithEdges are batch drivers over a Stream. Serving an ingestion data
+// plane, inboxes are bounded (a full pipeline pushes back rather than
+// buffering), every data set's outcome is delivered to its submitter, and
+// Close drains in-flight work to zero before tearing the instances down.
 //
-// The executor semantics are those of the fault-tolerant executor: failed
-// attempts retry with capped exponential backoff, hung attempts are cut
-// off by stage deadlines, data sets that exhaust their attempts resolve
-// with an error (never aborting the stream), and repeatedly failing
-// instances die and leave the rotation while survivors keep serving.
+// Failed attempts retry with capped exponential backoff, hung attempts are
+// cut off by stage deadlines, data sets that exhaust their attempts
+// resolve with an error (never aborting the stream), and repeatedly
+// failing instances die and leave the rotation while survivors keep
+// serving.
 type Stream struct {
 	p     *Pipeline
 	edges []Edge
@@ -84,6 +84,9 @@ type Stream struct {
 	start time.Time
 	seq   atomic.Int64
 	live  []atomic.Int32
+	// tidBase[i] is the trace row of stage i's instance 0; instance b
+	// traces on tidBase[i]+b, giving every replica its own row.
+	tidBase []int
 
 	completed atomic.Int64
 	retried   atomic.Int64
@@ -94,25 +97,12 @@ type Stream struct {
 
 // Stream starts a streaming execution of the pipeline and returns its
 // handle. The pipeline's Monitor (if any) is started and observes every
-// attempt exactly as in fault-tolerant batch runs.
+// attempt; its Obs tracer (if any) gets one named row per stage instance.
 func (p *Pipeline) Stream(opts StreamOptions) (*Stream, error) {
-	if len(p.Stages) == 0 {
-		return nil, fmt.Errorf("fxrt: pipeline has no stages")
+	if err := p.validate(opts.Edges, opts.Edges != nil); err != nil {
+		return nil, err
 	}
 	l := len(p.Stages)
-	if opts.Edges != nil && len(opts.Edges) != l-1 {
-		return nil, fmt.Errorf("fxrt: %d edges for %d stages (want %d)",
-			len(opts.Edges), l, l-1)
-	}
-	for i, s := range p.Stages {
-		if s.Workers < 1 || s.Replicas < 1 {
-			return nil, fmt.Errorf("fxrt: stage %d (%s) has workers=%d replicas=%d",
-				i, s.Name, s.Workers, s.Replicas)
-		}
-		if s.Run == nil {
-			return nil, fmt.Errorf("fxrt: stage %d (%s) has no Run", i, s.Name)
-		}
-	}
 	s := &Stream{
 		p:       p,
 		edges:   opts.Edges,
@@ -123,6 +113,16 @@ func (p *Pipeline) Stream(opts StreamOptions) (*Stream, error) {
 		drained: make(chan struct{}),
 		start:   time.Now(),
 		live:    make([]atomic.Int32, l),
+		tidBase: make([]int, l),
+	}
+	for i, base := 0, 0; i < l; i++ {
+		s.tidBase[i] = base
+		if p.Obs != nil {
+			for b := 0; b < p.Stages[i].Replicas; b++ {
+				p.Obs.NameThread(base+b, fmt.Sprintf("%s/%d", p.Stages[i].Name, b))
+			}
+		}
+		base += p.Stages[i].Replicas
 	}
 	for i := 0; i <= l; i++ {
 		capacity := opts.Inbox
@@ -167,10 +167,21 @@ func (s *Stream) Push(ctx context.Context, ds DataSet) (<-chan StreamResult, err
 // (including retries and drops) records a span on rt. A nil rt is exactly
 // Push.
 func (s *Stream) PushTraced(ctx context.Context, ds DataSet, rt *obs.ReqTrace) (<-chan StreamResult, error) {
+	res := make(chan StreamResult, 1)
+	if err := s.push(ctx, ds, rt, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// push admits ds with its result to be delivered on res, which must have
+// room for it so the sink never blocks. Batch runs share one res across
+// all their data sets, receiving results in completion order.
+func (s *Stream) push(ctx context.Context, ds DataSet, rt *obs.ReqTrace, res chan StreamResult) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrStreamClosed
+		return ErrStreamClosed
 	}
 	s.inflight++
 	s.mu.Unlock()
@@ -178,7 +189,7 @@ func (s *Stream) PushTraced(ctx context.Context, ds DataSet, rt *obs.ReqTrace) (
 		idx: int(s.seq.Add(1) - 1),
 		ds:  ds,
 		t0:  time.Now(),
-		res: make(chan StreamResult, 1),
+		res: res,
 		rt:  rt,
 	}
 	var done <-chan struct{}
@@ -187,10 +198,10 @@ func (s *Stream) PushTraced(ctx context.Context, ds DataSet, rt *obs.ReqTrace) (
 	}
 	select {
 	case s.inbox[0] <- env:
-		return env.res, nil
+		return nil
 	case <-done:
 		s.doneOne()
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
@@ -264,29 +275,47 @@ func (s *Stream) Stats() Stats {
 	return st
 }
 
+// replica is the state of one stage instance.
+type replica struct {
+	ctx         StageCtx
+	i, b        int
+	tid         int // trace row
+	st          Stage
+	deadline    time.Duration
+	maxAttempts int
+	consecFail  int
+	// attempts tracks abandoned (timed-out) attempt goroutines, so the
+	// instance's group closes only after they finish.
+	attempts sync.WaitGroup
+}
+
 // instance is the body of one stage replica.
 func (s *Stream) instance(i, b int) {
 	st := s.p.Stages[i]
 	g, _ := NewGroup(st.Workers) // Workers >= 1 was validated in Stream
-	var attempts sync.WaitGroup
+	r := &replica{
+		ctx:         StageCtx{Group: g, Instance: b, Rec: s.rec},
+		i:           i,
+		b:           b,
+		tid:         s.tidBase[i] + b,
+		st:          st,
+		deadline:    s.p.deadlineFor(i),
+		maxAttempts: s.p.Retry.MaxRetries + 1,
+	}
 	if g != nil {
 		// Abandoned (timed-out) attempts may still be running on the group;
 		// close it only after they finish, without blocking shutdown.
 		defer func() {
 			go func() {
-				attempts.Wait()
+				r.attempts.Wait()
 				g.Close()
 			}()
 		}()
 	}
-	ctx := &StageCtx{Group: g, Instance: b, Rec: s.rec}
-	deadline := s.p.deadlineFor(i)
-	maxAttempts := s.p.Retry.MaxRetries + 1
-	consecFail := 0
 	for {
 		select {
 		case env := <-s.inbox[i]:
-			if s.process(ctx, i, b, st, deadline, &attempts, maxAttempts, &consecFail, env) {
+			if s.process(r, env) {
 				return // instance died
 			}
 		case <-s.quit:
@@ -295,26 +324,27 @@ func (s *Stream) instance(i, b int) {
 	}
 }
 
-// process runs one envelope through stage i on instance b, retrying per
-// the pipeline policy. It reports true when the instance declared itself
-// dead (the envelope was requeued to a surviving replica).
-func (s *Stream) process(ctx *StageCtx, i, b int, st Stage, deadline time.Duration,
-	attempts *sync.WaitGroup, maxAttempts int, consecFail *int, env sEnvelope) bool {
+// process runs one envelope through replica r, retrying per the pipeline
+// policy. It reports true when the instance declared itself dead (the
+// envelope was requeued to a surviving replica).
+func (s *Stream) process(r *replica, env sEnvelope) bool {
+	i, st := r.i, &r.st
 	if env.dropped {
 		s.forward(i, env)
 		return false
 	}
-	mon := s.p.Monitor
+	mon, tr := s.p.Monitor, s.p.Obs
 	for {
 		t0 := time.Now()
-		out, err, timedOut := attemptOnce(s.p, s.rec, s.edges, s.release,
-			ctx, i, b, st, deadline, attempts, env.ds, env.idx, env.attempts)
+		out, err, timedOut := s.attempt(r, env.ds, env.idx, env.attempts)
+		d := time.Since(t0)
 		if err == nil {
-			env.rt.StageSpan(st.Name, i, b, env.attempts, "ok", t0, time.Since(t0))
-			mon.StageDone(i, time.Since(t0).Seconds())
+			env.rt.StageSpan(st.Name, i, r.b, env.attempts, "ok", t0, d)
+			tr.StageSpan(st.Name, r.tid, env.idx, env.attempts, "ok", t0, d)
+			mon.StageDone(i, d.Seconds())
 			env.ds = out
 			env.attempts = 0
-			*consecFail = 0
+			r.consecFail = 0
 			s.forward(i, env)
 			return false
 		}
@@ -322,29 +352,34 @@ func (s *Stream) process(ctx *StageCtx, i, b int, st Stage, deadline time.Durati
 		if timedOut {
 			outcome = "timeout"
 		}
-		env.rt.StageSpan(st.Name, i, b, env.attempts, outcome, t0, time.Since(t0))
+		env.rt.StageSpan(st.Name, i, r.b, env.attempts, outcome, t0, d)
+		tr.StageSpan(st.Name, r.tid, env.idx, env.attempts, outcome, t0, d)
 		env.attempts++
 		env.err = err
-		*consecFail++
+		r.consecFail++
 		if timedOut {
 			s.timeouts.Add(1)
 			mon.StageTimeout(i, env.idx)
 		}
-		if s.p.DeadAfter > 0 && *consecFail >= s.p.DeadAfter {
+		if s.p.DeadAfter > 0 && r.consecFail >= s.p.DeadAfter {
 			// Die only if another live instance remains to serve the
 			// stream; the last instance soldiers on.
 			if s.live[i].Add(-1) >= 1 {
 				s.deaths.Add(1)
 				mon.InstanceDeath(i, env.idx)
 				env.rt.Instant("stage", st.Name, "instance death; requeued")
+				if tr != nil {
+					tr.InstantArgs("fault", "instance-death", r.tid, time.Now(),
+						map[string]any{"dataset": env.idx, "stage": st.Name})
+				}
 				env.attempts = 0 // fresh budget on a surviving instance
-				s.requeue(i, env)
+				s.requeue(r, env)
 				return true
 			}
 			s.live[i].Add(1)
 		}
-		if env.attempts >= maxAttempts {
-			s.drop(i, &env)
+		if env.attempts >= r.maxAttempts {
+			s.drop(r, &env)
 			s.forward(i, env)
 			return false
 		}
@@ -356,17 +391,82 @@ func (s *Stream) process(ctx *StageCtx, i, b int, st Stage, deadline time.Durati
 	}
 }
 
-// drop tombstones env after stage i exhausted its attempts; the sink
-// resolves it with the last attempt's error.
-func (s *Stream) drop(i int, env *sEnvelope) {
+// attempt executes one try of replica r's stage on a data set: the
+// incoming edge transfer (if any), injected faults, and the stage
+// function, bounded by the stage deadline. It reports whether the attempt
+// timed out. A timed-out attempt's goroutine is abandoned (tracked by
+// r.attempts); injected hangs are released when the stream closes.
+func (s *Stream) attempt(r *replica, in DataSet, idx, attemptNo int) (DataSet, error, bool) {
+	i, b, st := r.i, r.b, &r.st
+	run := func() (DataSet, error) {
+		v := in
+		if i > 0 && s.edges != nil && s.edges[i-1].Transfer != nil {
+			e := &s.edges[i-1]
+			t := time.Now()
+			out, err := e.Transfer(&r.ctx, v)
+			s.rec.Observe(e.Name, time.Since(t).Seconds())
+			if err != nil {
+				return nil, fmt.Errorf("fxrt: edge %s data set %d: %w", e.Name, idx, err)
+			}
+			v = out
+		}
+		if f := s.p.matchFault(i, b, idx, attemptNo); f != nil {
+			switch f.Kind {
+			case FaultFail:
+				return nil, fmt.Errorf("fxrt: injected failure at stage %s instance %d data set %d attempt %d",
+					st.Name, b, idx, attemptNo)
+			case FaultHang:
+				<-s.release
+				return nil, fmt.Errorf("fxrt: injected hang at stage %s instance %d data set %d released",
+					st.Name, b, idx)
+			case FaultSlow:
+				time.Sleep(f.Delay)
+			}
+		}
+		return st.Run(&r.ctx, v)
+	}
+	if r.deadline <= 0 {
+		out, err := run()
+		return out, err, false
+	}
+	type result struct {
+		ds  DataSet
+		err error
+	}
+	ch := make(chan result, 1)
+	r.attempts.Add(1)
+	go func() {
+		defer r.attempts.Done()
+		out, err := run()
+		ch <- result{out, err}
+	}()
+	timer := time.NewTimer(r.deadline)
+	defer timer.Stop()
+	select {
+	case res := <-ch:
+		return res.ds, res.err, false
+	case <-timer.C:
+		return nil, fmt.Errorf("fxrt: stage %s instance %d data set %d: deadline %v exceeded",
+			st.Name, b, idx, r.deadline), true
+	}
+}
+
+// drop tombstones env after replica r exhausted its attempts (or could not
+// requeue it); the sink resolves it with the last attempt's error.
+func (s *Stream) drop(r *replica, env *sEnvelope) {
+	name := r.st.Name
 	env.dropped = true
 	if env.err == nil {
-		env.err = fmt.Errorf("fxrt: data set %d dropped at stage %s", env.idx, s.p.Stages[i].Name)
+		env.err = fmt.Errorf("fxrt: data set %d dropped at stage %s", env.idx, name)
 	}
 	env.ds = nil
 	s.droppedN.Add(1)
-	s.p.Monitor.StageDrop(i, env.idx)
-	env.rt.Instant("stage", s.p.Stages[i].Name, "dropped: attempts exhausted")
+	s.p.Monitor.StageDrop(r.i, env.idx)
+	env.rt.Instant("stage", name, "dropped: attempts exhausted")
+	if tr := s.p.Obs; tr != nil {
+		tr.InstantArgs("fault", "drop", r.tid, time.Now(),
+			map[string]any{"dataset": env.idx, "stage": name})
+	}
 }
 
 // forward hands env to the next stage (or the sink). The send may block on
@@ -381,12 +481,12 @@ func (s *Stream) forward(i int, env sEnvelope) {
 // requeue returns env to the stage's own inbox so a surviving instance
 // picks it up. The inbox is bounded, so a dying instance must never block
 // on itself: when full, the data set resolves as dropped instead.
-func (s *Stream) requeue(i int, env sEnvelope) {
+func (s *Stream) requeue(r *replica, env sEnvelope) {
 	select {
-	case s.inbox[i] <- env:
+	case s.inbox[r.i] <- env:
 	default:
-		s.drop(i, &env)
-		s.forward(i, env)
+		s.drop(r, &env)
+		s.forward(r.i, env)
 	}
 }
 

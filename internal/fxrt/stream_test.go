@@ -179,6 +179,13 @@ func TestStreamCloseDrainsZeroLoss(t *testing.T) {
 
 func TestStreamInstanceDeathFailsOver(t *testing.T) {
 	p := echoPipeline(1, 2)
+	// Real per-data-set work keeps the healthy instance from serving the
+	// whole stream before the faulty one first pulls a data set.
+	echo := p.Stages[0].Run
+	p.Stages[0].Run = func(ctx *StageCtx, in DataSet) (DataSet, error) {
+		time.Sleep(time.Millisecond)
+		return echo(ctx, in)
+	}
 	p.Retry = RetryPolicy{MaxRetries: 3}
 	p.DeadAfter = 2
 	p.Faults = []Fault{{Stage: 0, Instance: 0, DataSet: -1, Kind: FaultFail}}
