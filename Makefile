@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-quick serve-smoke ingest-smoke fleet-smoke pipegen pipegen-diff
+.PHONY: build test race fuzz bench bench-quick serve-smoke ingest-smoke fleet-smoke
 
 FUZZTIME ?= 10s
 
@@ -45,13 +45,3 @@ ingest-smoke:
 # Fleet scheduler smoke: two tenants share a pool, kill processors, rebalance.
 fleet-smoke:
 	./scripts/serve_smoke.sh fleet
-
-# Regenerate the committed specialized executors under internal/gen from
-# the specs + their solved mappings (commit the result).
-pipegen:
-	$(GO) run ./cmd/pipegen -all
-
-# Fail if the committed generated executors drift from what the generator
-# emits today (CI's golden gate; prints a per-file summary).
-pipegen-diff:
-	$(GO) run ./cmd/pipegen -all -check

@@ -31,105 +31,163 @@ func httpPost(t *testing.T, url, body string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// TestServeIngestAcceptance runs the full ingestion path through the CLI:
-// solve the FFT-Hist spec, stand up the real kernel pipeline behind the
-// data plane, submit a data set over HTTP, read the computed histogram
-// back, then deliver a graceful drain via context cancellation (the
-// SIGTERM path) and check nothing accepted was lost.
+// drainRe matches the drain summary serveIngest prints on shutdown.
+var drainRe = regexp.MustCompile(`drain complete: \d+ request\(s\) flushed; lifetime admitted (\d+), completed (\d+), failed (\d+), shed (\d+)`)
+
+// TestServeIngestAcceptance runs the full ingestion path through the CLI
+// for every served application: solve the app's spec, stand up the real
+// kernel pipeline behind the data plane, submit a data set over HTTP, read
+// the computed result back, then deliver a graceful drain via context
+// cancellation (the SIGTERM path) and check nothing accepted was lost.
 func TestServeIngestAcceptance(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	buf := &syncBuffer{}
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{
-			"-serve", "127.0.0.1:0",
-			"-ingest", "ffthist",
-			"-ingest-size", "32",
-			"-queue-depth", "8",
-			"-shed-deadline", "10s",
-			"../../specs/ffthist256.json",
-		}, strings.NewReader(""), buf)
-	}()
-	addr := waitFor(t, buf, addrRe, done)[1]
-	base := "http://" + addr
+	cases := []struct {
+		app, spec, size string
+		good, bad       string // submit inputs: a valid one, and one the codec rejects
+		check           func(t *testing.T, result map[string]any)
+	}{
+		{
+			app: "ffthist", spec: "ffthist256.json", size: "32",
+			good: `{"seed": 7}`, bad: `{"data": [1, 2]}`,
+			check: func(t *testing.T, r map[string]any) {
+				// A real 32x32 FFT histogram counts every element.
+				if r["count"] != float64(32*32) {
+					t.Errorf("ffthist count = %v, want %d", r["count"], 32*32)
+				}
+			},
+		},
+		{
+			app: "radar", spec: "radar64.json", size: "64",
+			good: `{"seed": 3, "target_gate": 20, "target_doppler": 3}`, bad: `{"target_gate": 1000}`,
+			check: func(t *testing.T, r map[string]any) {
+				top, _ := r["top"].([]any)
+				if n, _ := r["detections"].(float64); n < 1 || len(top) == 0 {
+					t.Fatalf("radar result %v, want detections", r)
+				}
+				// The matched filter response spreads over adjacent gates.
+				best, _ := top[0].(map[string]any)
+				if g, _ := best["range"].(float64); g < 18 || g > 22 {
+					t.Errorf("strongest radar detection at range %v, want the injected gate 20 +/- 2", best["range"])
+				}
+			},
+		},
+		{
+			app: "stereo", spec: "stereo128.json", size: "32",
+			good: `{"seed": 5}`, bad: `{"seed": "five"}`,
+			check: func(t *testing.T, r map[string]any) {
+				if r["width"] != float64(32) || r["height"] != float64(64) {
+					t.Errorf("stereo depth map %vx%v, want 32x64", r["width"], r["height"])
+				}
+				if acc, _ := r["accuracy"].(float64); acc < 0.8 {
+					t.Errorf("stereo depth accuracy %v, want >= 0.8 on the synthetic scene", r["accuracy"])
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.app, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			buf := &syncBuffer{}
+			done := make(chan error, 1)
+			go func() {
+				done <- run(ctx, []string{
+					"-serve", "127.0.0.1:0",
+					"-ingest", tc.app,
+					"-ingest-size", tc.size,
+					"-queue-depth", "8",
+					"-shed-deadline", "10s",
+					"../../specs/" + tc.spec,
+				}, strings.NewReader(""), buf)
+			}()
+			addr := waitFor(t, buf, addrRe, done)[1]
+			base := "http://" + addr
+			if !strings.Contains(buf.String(), "via the generic fxrt executor") {
+				t.Errorf("banner does not name the generic fxrt executor:\n%s", buf.String())
+			}
 
-	// A well-formed submission computes a real 32x32 FFT histogram.
-	code, body := httpPost(t, base+"/v1/submit", `{"tenant": "alpha", "input": {"seed": 7}}`)
-	if code != http.StatusOK {
-		t.Fatalf("/v1/submit = %d: %s", code, body)
-	}
-	var sub struct {
-		App    string `json:"app"`
-		Result struct {
-			Count int `json:"count"`
-		} `json:"result"`
-		SojournMS float64 `json:"sojournMs"`
-	}
-	if err := json.Unmarshal([]byte(body), &sub); err != nil {
-		t.Fatalf("/v1/submit JSON: %v\n%s", err, body)
-	}
-	if sub.App != "ffthist" || sub.Result.Count != 32*32 {
-		t.Errorf("submit result = app %q count %d, want ffthist %d", sub.App, sub.Result.Count, 32*32)
-	}
+			// A well-formed submission runs the real kernels.
+			code, body := httpPost(t, base+"/v1/submit", `{"tenant": "alpha", "input": `+tc.good+`}`)
+			if code != http.StatusOK {
+				t.Fatalf("/v1/submit = %d: %s", code, body)
+			}
+			var sub struct {
+				App       string         `json:"app"`
+				Result    map[string]any `json:"result"`
+				SojournMS float64        `json:"sojournMs"`
+			}
+			if err := json.Unmarshal([]byte(body), &sub); err != nil {
+				t.Fatalf("/v1/submit JSON: %v\n%s", err, body)
+			}
+			if sub.App != tc.app {
+				t.Errorf("submit app = %q, want %q", sub.App, tc.app)
+			}
+			tc.check(t, sub.Result)
 
-	// Malformed input is a 400, not a shed.
-	code, body = httpPost(t, base+"/v1/submit", `{"input": {"data": [1, 2]}}`)
-	if code != http.StatusBadRequest {
-		t.Errorf("bad input = %d, want 400: %s", code, body)
-	}
+			// Malformed input is a 400, not a shed.
+			code, body = httpPost(t, base+"/v1/submit", `{"input": `+tc.bad+`}`)
+			if code != http.StatusBadRequest {
+				t.Errorf("bad input = %d, want 400: %s", code, body)
+			}
 
-	// /v1/ingest serves the plane's stats.
-	code, body, _ = httpGet(t, base+"/v1/ingest")
-	if code != http.StatusOK {
-		t.Fatalf("/v1/ingest = %d", code)
-	}
-	var st struct {
-		Admitted  int64 `json:"admitted"`
-		Completed int64 `json:"completed"`
-	}
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatalf("/v1/ingest JSON: %v\n%s", err, body)
-	}
-	if st.Admitted < 1 || st.Completed < 1 {
-		t.Errorf("/v1/ingest admitted=%d completed=%d, want both >= 1", st.Admitted, st.Completed)
-	}
+			// /v1/ingest serves the plane's stats.
+			code, body, _ = httpGet(t, base+"/v1/ingest")
+			if code != http.StatusOK {
+				t.Fatalf("/v1/ingest = %d", code)
+			}
+			var st struct {
+				Admitted  int64 `json:"admitted"`
+				Completed int64 `json:"completed"`
+			}
+			if err := json.Unmarshal([]byte(body), &st); err != nil {
+				t.Fatalf("/v1/ingest JSON: %v\n%s", err, body)
+			}
+			if st.Admitted < 1 || st.Completed < 1 {
+				t.Errorf("/v1/ingest admitted=%d completed=%d, want both >= 1", st.Admitted, st.Completed)
+			}
 
-	// /pipeline embeds the same stats under "ingest".
-	code, body, _ = httpGet(t, base+"/pipeline")
-	if code != http.StatusOK || !strings.Contains(body, `"ingest"`) {
-		t.Errorf("/pipeline = %d, want an ingest key:\n%s", code, body)
-	}
+			// /pipeline embeds the same stats under "ingest".
+			code, body, _ = httpGet(t, base+"/pipeline")
+			if code != http.StatusOK || !strings.Contains(body, `"ingest"`) {
+				t.Errorf("/pipeline = %d, want an ingest key:\n%s", code, body)
+			}
 
-	// /metrics exposes the ingest series and still lints.
-	code, body, _ = httpGet(t, base+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics = %d", code)
-	}
-	lintExposition(t, body)
-	for _, want := range []string{"ingest_admit_total", "ingest_shed_total", "ingest_queue_depth"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-	// The index advertises the mounted submit route.
-	if _, idx, _ := httpGet(t, base+"/"); !strings.Contains(idx, "/v1/submit") {
-		t.Errorf("index does not list /v1/submit:\n%s", idx)
-	}
+			// /metrics exposes the ingest series and still lints.
+			code, body, _ = httpGet(t, base+"/metrics")
+			if code != http.StatusOK {
+				t.Fatalf("/metrics = %d", code)
+			}
+			lintExposition(t, body)
+			for _, want := range []string{"ingest_admit_total", "ingest_shed_total", "ingest_queue_depth"} {
+				if !strings.Contains(body, want) {
+					t.Errorf("/metrics missing %q", want)
+				}
+			}
+			// The index advertises the mounted submit route.
+			if _, idx, _ := httpGet(t, base+"/"); !strings.Contains(idx, "/v1/submit") {
+				t.Errorf("index does not list /v1/submit:\n%s", idx)
+			}
 
-	// Context cancellation (the SIGTERM path) drains gracefully.
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatalf("run did not drain after cancellation:\n%s", buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "drain complete") {
-		t.Errorf("no drain summary in output:\n%s", out)
+			// Context cancellation (the SIGTERM path) drains gracefully and
+			// loses nothing: every admitted request completed.
+			cancel()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("run did not drain after cancellation:\n%s", buf.String())
+			}
+			out := buf.String()
+			m := drainRe.FindStringSubmatch(out)
+			if m == nil {
+				t.Fatalf("no drain summary in output:\n%s", out)
+			}
+			if m[1] != m[2] || m[1] == "0" || m[3] != "0" || m[4] != "0" {
+				t.Errorf("drain summary admitted %s, completed %s, failed %s, shed %s; want admitted == completed >= 1, no failures or sheds",
+					m[1], m[2], m[3], m[4])
+			}
+		})
 	}
 }
 

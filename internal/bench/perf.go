@@ -86,16 +86,7 @@ type SpecPerf struct {
 	// keeps at effectively zero.
 	TraceSpanNanos float64 `json:"traceSpanNanos"`
 	TraceOffNanos  float64 `json:"traceOffNanos"`
-	// GenericNanosPerDS and GeneratedNanosPerDS compare the generic fxrt
-	// stream against the pipegen-generated executor on the same mapping
-	// structure, real kernels, identical inputs (internal/bench/genperf.go
-	// documents the reduced workload sizes); GeneratedSpeedup is their
-	// ratio (>1 means the generated path is faster per data set). Zero for
-	// specs without a committed generated executor.
-	GenericNanosPerDS   float64 `json:"genericNanosPerDS,omitempty"`
-	GeneratedNanosPerDS float64 `json:"generatedNanosPerDS,omitempty"`
-	GeneratedSpeedup    float64 `json:"generatedSpeedup,omitempty"`
-	Mapping             string  `json:"mapping"`
+	Mapping        string  `json:"mapping"`
 }
 
 // PerfReport is the full performance trajectory written to
@@ -200,10 +191,6 @@ func perfSpec(path string, opt PerfOptions) (SpecPerf, error) {
 		sp.FxrtEfficiency = sp.FxrtThroughput / sp.DPThroughput
 	}
 	sp.TraceSpanNanos, sp.TraceOffNanos = timeTraceSpan(opt.Runs)
-
-	if err := perfGenerated(&sp, path, dpRes.Mapping, opt); err != nil {
-		return SpecPerf{}, err
-	}
 	return sp, nil
 }
 
@@ -359,31 +346,13 @@ func RenderPerf(rep PerfReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "perf trajectory (%s %s/%s, %d CPUs, GOMAXPROCS=%d, %d data sets, %gx speedup, median of %d):\n",
 		rep.GoVersion, rep.GOOS, rep.GOARCH, rep.CPUs, rep.GoMaxProcs, rep.DataSets, rep.Speedup, rep.Runs)
-	fmt.Fprintf(&b, "%-28s %12s %12s %12s %12s %6s %10s %10s %8s %10s %11s %11s %7s\n",
-		"spec", "dp solve", "greedy solve", "incr solve", "adapt step", "memo", "model t/s", "fxrt t/s", "eff", "trace/span",
-		"generic/ds", "pipegen/ds", "gain")
+	fmt.Fprintf(&b, "%-28s %12s %12s %12s %12s %6s %10s %10s %8s %10s\n",
+		"spec", "dp solve", "greedy solve", "incr solve", "adapt step", "memo", "model t/s", "fxrt t/s", "eff", "trace/span")
 	for _, sp := range rep.Specs {
-		fmt.Fprintf(&b, "%-28s %10.3fms %10.3fms %10.3fms %10.3fms %5.0f%% %10.4f %10.4f %7.1f%% %8.0fns %11s %11s %7s\n",
+		fmt.Fprintf(&b, "%-28s %10.3fms %10.3fms %10.3fms %10.3fms %5.0f%% %10.4f %10.4f %7.1f%% %8.0fns\n",
 			sp.Spec, sp.DPSolveSeconds*1e3, sp.GreedySolveSeconds*1e3, sp.IncrementalSolveSeconds*1e3,
 			sp.AdaptDecisionSeconds*1e3, 100*sp.MemoHitRate,
-			sp.DPThroughput, sp.FxrtThroughput, 100*sp.FxrtEfficiency, sp.TraceSpanNanos,
-			perDS(sp.GenericNanosPerDS), perDS(sp.GeneratedNanosPerDS), gain(sp.GeneratedSpeedup))
+			sp.DPThroughput, sp.FxrtThroughput, 100*sp.FxrtEfficiency, sp.TraceSpanNanos)
 	}
 	return b.String()
-}
-
-// perDS renders a per-data-set nanosecond figure, "-" when unmeasured.
-func perDS(ns float64) string {
-	if ns <= 0 {
-		return "-"
-	}
-	return time.Duration(ns).Round(time.Microsecond).String()
-}
-
-// gain renders a generated-vs-generic speedup ratio, "-" when unmeasured.
-func gain(x float64) string {
-	if x <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2fx", x)
 }

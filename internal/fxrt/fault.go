@@ -90,10 +90,8 @@ type RetryPolicy struct {
 	MaxBackoff time.Duration
 }
 
-// BackoffFor returns the delay before retry number retry (1-based). It is
-// exported for pipegen-generated executors, which replicate the stream
-// executor's retry loop without going through a Pipeline.
-func (rp RetryPolicy) BackoffFor(retry int) time.Duration {
+// backoffFor returns the delay before retry number retry (1-based).
+func (rp RetryPolicy) backoffFor(retry int) time.Duration {
 	if rp.Backoff <= 0 || retry < 1 {
 		return 0
 	}

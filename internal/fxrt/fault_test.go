@@ -241,22 +241,22 @@ func TestSlowFaultVisibleInOpStats(t *testing.T) {
 
 func TestBackoffCapped(t *testing.T) {
 	rp := RetryPolicy{MaxRetries: 10, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
-	if d := rp.BackoffFor(1); d != time.Millisecond {
+	if d := rp.backoffFor(1); d != time.Millisecond {
 		t.Errorf("backoff(1) = %v", d)
 	}
-	if d := rp.BackoffFor(2); d != 2*time.Millisecond {
+	if d := rp.backoffFor(2); d != 2*time.Millisecond {
 		t.Errorf("backoff(2) = %v", d)
 	}
-	if d := rp.BackoffFor(3); d != 4*time.Millisecond {
+	if d := rp.backoffFor(3); d != 4*time.Millisecond {
 		t.Errorf("backoff(3) = %v", d)
 	}
-	if d := rp.BackoffFor(4); d != 5*time.Millisecond {
+	if d := rp.backoffFor(4); d != 5*time.Millisecond {
 		t.Errorf("backoff(4) = %v, want capped at 5ms", d)
 	}
-	if d := rp.BackoffFor(30); d != 5*time.Millisecond {
+	if d := rp.backoffFor(30); d != 5*time.Millisecond {
 		t.Errorf("backoff(30) = %v, want capped at 5ms", d)
 	}
-	if d := (RetryPolicy{}).BackoffFor(3); d != 0 {
+	if d := (RetryPolicy{}).backoffFor(3); d != 0 {
 		t.Errorf("zero policy backoff = %v, want 0", d)
 	}
 }

@@ -3,6 +3,7 @@ package fxrt
 import (
 	"errors"
 	"fmt"
+	"regexp"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,8 +31,10 @@ type pinCase struct {
 	// not reach the sink.
 	want    Stats
 	dropped []int
-	// abort expects Run to return an error wrapping errPinPoison.
-	abort bool
+	// abortMsg, when set, expects Run to abort with an error wrapping
+	// errPinPoison whose message matches it, so the error names where it
+	// came from.
+	abortMsg string
 }
 
 // TestBatchRunBehaviourTable pins what batch Run and RunWithEdges do on the
@@ -76,10 +79,13 @@ func TestBatchRunBehaviourTable(t *testing.T) {
 		{name: "edge-fail-drops", edgesOnly: true, edgeFail: 4, configure: func(p *Pipeline) {
 			p.Retry = RetryPolicy{MaxRetries: 1}
 		}, want: Stats{Retried: 1, Dropped: 1}, dropped: []int{4}},
-		{name: "zero-config-stage-abort", edgeFail: -1, abort: true, configure: func(p *Pipeline) {
-			p.Stages[1].Run = poisonAt(7, p.Stages[1].Run)
-		}},
-		{name: "zero-config-edge-abort", edgesOnly: true, edgeFail: 11, abort: true,
+		{name: "zero-config-stage-abort", edgeFail: -1,
+			abortMsg: `^fxrt: run aborted: fxrt: stage back instance [01] data set 7: pin: poisoned data set$`,
+			configure: func(p *Pipeline) {
+				p.Stages[1].Run = poisonAt(7, p.Stages[1].Run)
+			}},
+		{name: "zero-config-edge-abort", edgesOnly: true, edgeFail: 11,
+			abortMsg:  `^fxrt: run aborted: fxrt: edge edge:pin data set 11: link down: pin: poisoned data set$`,
 			configure: func(p *Pipeline) {}},
 	}
 	for _, tc := range cases {
@@ -149,9 +155,12 @@ func runPinCase(t *testing.T, tc pinCase, n int, withEdges bool) {
 		stats, err = p.Run(source, n, 3)
 	}
 
-	if tc.abort {
+	if tc.abortMsg != "" {
 		if !errors.Is(err, errPinPoison) {
 			t.Fatalf("err = %v, want an abort wrapping %v", err, errPinPoison)
+		}
+		if !regexp.MustCompile(tc.abortMsg).MatchString(err.Error()) {
+			t.Fatalf("err = %q, want a message matching %s", err, tc.abortMsg)
 		}
 		return
 	}

@@ -385,7 +385,7 @@ func (s *Stream) process(r *replica, env sEnvelope) bool {
 		}
 		s.retried.Add(1)
 		mon.StageRetry(i, env.idx)
-		if d := s.p.Retry.BackoffFor(env.attempts); d > 0 {
+		if d := s.p.Retry.backoffFor(env.attempts); d > 0 {
 			time.Sleep(d)
 		}
 	}
@@ -423,7 +423,11 @@ func (s *Stream) attempt(r *replica, in DataSet, idx, attemptNo int) (DataSet, e
 				time.Sleep(f.Delay)
 			}
 		}
-		return st.Run(&r.ctx, v)
+		out, err := st.Run(&r.ctx, v)
+		if err != nil {
+			return nil, fmt.Errorf("fxrt: stage %s instance %d data set %d: %w", st.Name, b, idx, err)
+		}
+		return out, nil
 	}
 	if r.deadline <= 0 {
 		out, err := run()

@@ -315,6 +315,12 @@ func TestPlaneSwapKeepsServing(t *testing.T) {
 	}
 }
 
+func TestNewBackendRejectsNil(t *testing.T) {
+	if _, err := NewBackend(Config{}, nil, nil); err == nil {
+		t.Fatal("NewBackend(nil) succeeded, want error")
+	}
+}
+
 func TestPlaneMetricsRegistered(t *testing.T) {
 	reg := live.NewRegistry(live.Options{})
 	p, err := New(Config{Registry: reg}, incPipeline(1, 1), fxrt.StreamOptions{})
